@@ -16,18 +16,17 @@ race:
 # the race detector — workers re-enqueueing failed runs, quarantine
 # draining, and the fault-injection hooks all synchronize across
 # goroutines, so -race is the honest way to run them. internal/sim covers
-# the sharded-timeline synchronizer (including the cross-shard mailbox
-# hammer), internal/workpool the shared work-stealing pool, and the
-# root-package differential tests hold both the parallel data plane and
-# the partitioned cross-shard chain to byte-identical results while
-# racing.
+# the replica shard group, internal/workpool the shared work-stealing
+# pool, and the root-package differential tests hold the batched data
+# plane (two-node rig and, in TestCrossShard*, router chain) and the
+# parallel sharded sweep to byte-identical results while racing.
 .PHONY: verify-race
 verify-race:
 	go build ./...
 	go test -race ./internal/sched/ ./internal/core/ ./internal/hosttools/ \
 		./internal/casestudy/ ./internal/vpos/ ./internal/api/ \
 		./internal/eventlog/ ./internal/sim/ ./internal/workpool/ \
-		./internal/partition/ ./internal/queue/ ./internal/health/
+		./internal/queue/ ./internal/health/
 	go test -race -run 'TestBatchedMatchesScalar|TestShardedSweepMatchesSequential|TestCrossShard|TestHealth' .
 
 # Performance tier: the speedup benchmarks added with the campaign
@@ -55,17 +54,6 @@ bench-dataplane:
 	BENCH_RESULTS_OUT=$(CURDIR)/BENCH_dataplane.json \
 	go test -run NONE -bench 'BenchmarkDataPlane$$|BenchmarkDataPlaneSweep' \
 		-benchmem -benchtime 5x .
-
-# Cross-shard tier: the 8-router/4-cluster chain partitioned one cluster
-# per shard against its single-engine scalar oracle — speedup_x, the
-# batched-vs-sharded overhead ratio, and allocs/train across the lookahead
-# mailboxes. Headline numbers are recorded next to the code in
-# BENCH_xshard.json.
-.PHONY: bench-xshard
-bench-xshard:
-	BENCH_RESULTS_OUT=$(CURDIR)/BENCH_xshard.json \
-	go test -run NONE -bench BenchmarkCrossShardTopology \
-		-benchmem -benchtime 20x .
 
 # Queue tier: the multi-tenant campaign scheduler end to end — four
 # tenants flooding a four-node calendar with instant-launch campaigns, so

@@ -958,7 +958,7 @@ func BenchmarkDataPlaneSweep(b *testing.B) {
 			}
 		}()
 		start := time.Now()
-		if _, err := casestudy.ShardedSweep(topos, cfg, 0); err != nil {
+		if _, err := casestudy.ShardedSweep(topos, cfg); err != nil {
 			b.Fatal(err)
 		}
 		return time.Since(start)

@@ -46,31 +46,22 @@ const (
 )
 
 // Topology is the running rig: the classic two-node pair of the case study,
-// or a partitioned multi-hop chain (NewChain) whose devices spread across the
-// shards of a sim.ShardGroup.
+// or a multi-hop router chain (NewChain). Either way the whole data plane
+// lives on one engine.
 type Topology struct {
 	Flavor  Flavor
 	Testbed *testbed.Testbed
-	// Engine is the load generator's engine — the only engine of a
-	// single-shard topology, one of several in a partitioned one.
+	// Engine drives every device of the data plane.
 	Engine *sim.Engine
-	// Group is the shard group driving a partitioned topology; nil when
-	// the whole data plane lives on one engine.
-	Group *sim.ShardGroup
-	Gen   *loadgen.Generator
+	Gen    *loadgen.Generator
 	// Router is the first hop (the DuT of the two-node rig); Routers holds
 	// every forwarding device, in path order.
-	Router  *router.Router
-	Routers []*router.Router
-	// Shards is how many engines the data plane was partitioned across.
-	Shards   int
+	Router   *router.Router
+	Routers  []*router.Router
 	LoadGen  string // node name playing the load generator
 	DuT      string // node name playing the device under test
 	template func(frameSize int) packet.UDPTemplate
 	expName  string // experiment definition name
-	// drive advances the data plane to quiescence: Engine.Run on a single
-	// shard, ShardGroup.Run plus clock alignment on a partitioned one.
-	drive func() error
 	// minGrace floors RunConfig.DrainGrace at the topology's end-to-end
 	// path delay so in-flight packets on long trunks are not misread as
 	// loss when the caller leaves the grace defaulted.
@@ -240,11 +231,9 @@ func newTopology(flavor Flavor, seedOffset uint64, opts ...Option) (*Topology, e
 		Gen:      gen,
 		Router:   rt,
 		Routers:  []*router.Router{rt},
-		Shards:   1,
 		LoadGen:  "vriga",
 		DuT:      "vtartu",
 		expName:  "linux-router-" + string(flavor),
-		drive:    engine.Run,
 		template: defaultTemplate,
 	}
 	if o.faults != nil {
@@ -298,13 +287,12 @@ func (t *Topology) ResetRouterStats() {
 }
 
 // runMeasurement executes one measurement run against the data plane,
-// driving whichever engine arrangement the topology uses and flooring the
-// drain grace at the topology's path delay.
+// flooring the drain grace at the topology's path delay.
 func (t *Topology) runMeasurement(cfg loadgen.RunConfig) (loadgen.RunResult, error) {
 	if cfg.DrainGrace == 0 && t.minGrace > loadgen.DefaultDrainGrace {
 		cfg.DrainGrace = t.minGrace
 	}
-	return t.Gen.RunOn(cfg, t.drive)
+	return t.Gen.Run(cfg)
 }
 
 // SetFaults arms (or disarms, with nil) the topology's fault schedule after

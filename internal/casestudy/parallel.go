@@ -21,25 +21,18 @@ func SweepPoints(cfg SweepConfig) [][2]float64 {
 	return pts
 }
 
-// ShardedSweep runs every point of the sweep, partitioned round-robin across
-// the replica topologies (built with NewReplicas) and executed in parallel
-// on a sim.ShardGroup — one shard per replica timeline. Results come back in
+// ShardedSweep runs every point of the sweep, dealt round-robin across the
+// replica topologies (built with NewReplicas) and executed in parallel on a
+// sim.ShardGroup — one shard per replica timeline. Results come back in
 // campaign order regardless of sharding.
 //
 // Each shard's subsequence is exactly what sequential DirectRun calls on
 // that replica would produce: the shard driver chains runs back-to-back on
 // the replica's own engine, so determinism is per-replica, independent of
-// GOMAXPROCS and scheduling. window > 0 selects conservative time-window
-// synchronization (useful when shards exchange traffic); 0 lets these
-// independent timelines free-run.
-func ShardedSweep(topos []*Topology, cfg SweepConfig, window sim.Duration) ([]RunPoint, error) {
+// GOMAXPROCS and scheduling.
+func ShardedSweep(topos []*Topology, cfg SweepConfig) ([]RunPoint, error) {
 	if len(topos) == 0 {
 		return nil, fmt.Errorf("casestudy: sharded sweep needs at least one topology")
-	}
-	for _, t := range topos {
-		if t.Group != nil {
-			return nil, fmt.Errorf("casestudy: replica %q is itself partitioned across shards; ShardedSweep cannot nest shard groups", t.expName)
-		}
 	}
 	runtime := cfg.RuntimeSec
 	if runtime <= 0 {
@@ -47,7 +40,7 @@ func ShardedSweep(topos []*Topology, cfg SweepConfig, window sim.Duration) ([]Ru
 	}
 	pts := SweepPoints(cfg)
 	out := make([]RunPoint, len(pts))
-	group := sim.NewShardGroup(window)
+	group := sim.NewShardGroup()
 	states := make([]*sweepShard, len(topos))
 	for i, t := range topos {
 		st := &sweepShard{topo: t, out: out, runtime: runtime}

@@ -463,9 +463,14 @@ func (r *Runner) prepare(ctx context.Context, e *Experiment, exp *results.Experi
 	setupStart := r.now()
 	sctx, setupSpan := telemetry.StartSpan(ctx, "setup", "replica", replica)
 	setupOutputs := make([]string, len(hosts))
+	// Announce the scripts in host order before they start: emitted from
+	// the per-host goroutines, the events' order (and with it the archived
+	// experiment.log) would depend on goroutine scheduling.
+	for _, spec := range e.Hosts {
+		r.event(replica, ProgressEvent{Phase: PhaseSetup, Host: spec.Node, Message: "running setup script"})
+	}
 	if err := r.forEachHostIndexed(hosts, func(i int, h Host) error {
 		spec := e.Hosts[i]
-		r.event(replica, ProgressEvent{Phase: PhaseSetup, Host: spec.Node, Message: "running setup script"})
 		env := r.runEnv(e, spec, nil)
 		_, hs := telemetry.StartSpan(sctx, "setup:"+spec.Node)
 		out, err := h.Exec(sctx, spec.Setup, env)

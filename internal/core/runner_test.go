@@ -196,6 +196,42 @@ func TestFullWorkflow(t *testing.T) {
 	}
 }
 
+// Regression: the per-host "running setup script" events arrive in host
+// order on every run. They used to be emitted from the concurrent setup
+// goroutines, so the archived experiment.log of two identical pinned-clock
+// runs could differ.
+func TestSetupEventsInHostOrder(t *testing.T) {
+	e := caseStudyExperiment()
+	e.LoopVars = []LoopVar{{Name: "pkt_sz", Values: []string{"64"}}}
+	var hosts []*fakeHost
+	var want []string
+	for i := 0; i < 8; i++ {
+		name := fmt.Sprintf("node%d", i)
+		hosts = append(hosts, &fakeHost{name: name})
+		want = append(want, name)
+		if i >= len(e.Hosts) {
+			e.Hosts = append(e.Hosts, e.Hosts[0])
+		}
+		e.Hosts[i].Node = name
+		e.Hosts[i].Role = fmt.Sprintf("role%d", i)
+	}
+	for trial := 0; trial < 20; trial++ {
+		r, _ := newRunner(hosts...)
+		var got []string
+		r.Progress = func(ev ProgressEvent) {
+			if ev.Phase == PhaseSetup && ev.Message == "running setup script" {
+				got = append(got, ev.Host)
+			}
+		}
+		if _, err := r.Run(context.Background(), e, storeAt(t)); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("trial %d: setup events in order %v, want %v", trial, got, want)
+		}
+	}
+}
+
 func TestWorkflowArtifacts(t *testing.T) {
 	lg := &fakeHost{name: "vriga"}
 	dut := &fakeHost{name: "vtartu"}

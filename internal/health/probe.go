@@ -28,7 +28,7 @@ type Probe interface {
 // StallProbe trips when a monotonic progress signal stops advancing for
 // longer than its deadline while the watched activity is supposed to be
 // making progress. It is the shape of most "is it stuck?" questions:
-// campaign run completions, shard synchronization rounds, queue
+// campaign run completions, shard rounds, queue
 // admissions.
 type StallProbe struct {
 	name     string
@@ -134,9 +134,9 @@ func CampaignProgress(reg *telemetry.Registry, deadline time.Duration) *StallPro
 		deadline)
 }
 
-// ShardProgress watches the data plane's shard synchronization rounds
-// while shard groups are running: a deadlocked window barrier or a
-// livelocked lookahead round stops pos_sim_shard_windows_total cold.
+// ShardProgress watches the data plane's shard rounds while shard groups
+// are running: a round that never finishes (a wedged replica timeline)
+// stops pos_sim_shard_windows_total cold.
 func ShardProgress(reg *telemetry.Registry, deadline time.Duration) *StallProbe {
 	return NewStallProbe("shard-progress",
 		totalOf(reg, "pos_sim_shard_windows_total"),

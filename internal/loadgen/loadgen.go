@@ -193,8 +193,9 @@ func (r RunResult) LatencyStats() (avg, min, max float64) {
 }
 
 // ActiveRun is a measurement run that has been scheduled on the engine but
-// not yet finalized. External drivers (sharded sweeps) start runs, advance
-// the engine themselves, and collect the result once the engine is idle.
+// not yet finalized. External drivers (the replica shards of a ShardedSweep)
+// start runs, advance the engine themselves, and collect the result once the
+// engine is idle.
 type ActiveRun struct {
 	g         *Generator
 	cfg       RunConfig
@@ -207,19 +208,11 @@ type ActiveRun struct {
 // and returns the measured result. It drives the engine itself; the caller
 // must not be inside an engine callback.
 func (g *Generator) Run(cfg RunConfig) (RunResult, error) {
-	return g.RunOn(cfg, g.engine.Run)
-}
-
-// RunOn executes one measurement run, advancing the data plane with the
-// given drive function instead of the generator's own engine — the hook a
-// partitioned topology uses to run a whole sim.ShardGroup to quiescence
-// around the generator's schedule.
-func (g *Generator) RunOn(cfg RunConfig, drive func() error) (RunResult, error) {
 	ar, err := g.Start(cfg)
 	if err != nil {
 		return RunResult{}, err
 	}
-	if err := drive(); err != nil {
+	if err := g.engine.Run(); err != nil {
 		g.active = false
 		return RunResult{}, err
 	}
@@ -228,7 +221,8 @@ func (g *Generator) RunOn(cfg RunConfig, drive func() error) (RunResult, error) 
 
 // Start validates the configuration and schedules the run's transmit
 // activity on the engine without driving it. The caller runs the engine to
-// quiescence (directly or through a sim.ShardGroup) and then calls Result.
+// quiescence (directly, or as one shard of a sim.ShardGroup) and then calls
+// Result.
 func (g *Generator) Start(cfg RunConfig) (*ActiveRun, error) {
 	if g.active {
 		return nil, fmt.Errorf("loadgen %s: run already active", g.Name)

@@ -860,6 +860,13 @@ func (c *Campaign) worker(runCtx context.Context, cancel context.CancelFunc, wi 
 			return
 		case sem <- struct{}{}:
 		}
+		// select picks at random among ready cases, so a worker can win
+		// the queue or the slot after the campaign was cancelled (fail-fast
+		// or caller). Start no new dispatch once runCtx is done.
+		if runCtx.Err() != nil {
+			<-sem
+			return
+		}
 
 		inflightRuns.Inc()
 		var rec core.RunRecord

@@ -322,11 +322,23 @@ func TestCampaignFailFast(t *testing.T) {
 	svc := hosttools.NewService(nil)
 	repA, hostA := newReplica("alpha", "nodeA", svc)
 	repB, hostB := newReplica("beta", "nodeB", svc)
+	// Runs after the failing one stay in measurement until the campaign
+	// cancels them, so the sweep can only stop early through fail-fast —
+	// not because the failing run happened to finish before the other
+	// replica raced through the rest of the queue.
 	fail := func(ctx context.Context, env map[string]string) error {
-		if env["RUN"] == "2" {
+		switch env["RUN"] {
+		case "0", "1":
+			return nil
+		case "2":
 			return errors.New("loadgen crashed")
 		}
-		return nil
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(10 * time.Second):
+			return nil
+		}
 	}
 	hostA.onMeasure = fail
 	hostB.onMeasure = fail

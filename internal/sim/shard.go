@@ -3,64 +3,30 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"pos/internal/workpool"
 )
 
-// ShardGroup runs several engines — separate replica testbeds in a campaign,
-// or the partitioned devices of one large topology — under a conservative
-// synchronizer. Rounds execute on the process-wide workpool (shared with the
-// campaign dispatcher), with the calling goroutine participating, so shard
-// parallelism is bounded by the same worker budget as everything else.
+// ShardGroup runs several independent engines — the replica testbeds of a
+// campaign — in parallel. Rounds execute on the process-wide workpool
+// (shared with the campaign dispatcher), with the calling goroutine
+// participating, so shard parallelism is bounded by the same worker budget
+// as everything else.
 //
-// Each round every shard advances its virtual clock up to a boundary, then
-// all mailboxes drain at once. Work injected into a shard from outside
-// (InjectFrom/InjectCallsFrom/Inject) is buffered in a mailbox and drained
-// between rounds, sorted by (time, source shard, per-source sequence), so
-// the set and order of events a shard executes is independent of thread
-// scheduling: everything injected while round r ran is visible exactly at
-// the start of round r+1.
-//
-// Boundaries come in three modes:
-//
-//   - window > 0: fixed conservative windows. The classic contract — an
-//     injector must timestamp work at least one window ahead of the
-//     target's clock, otherwise the injection is clamped to the target's
-//     current time (counted in pos_sim_shard_late_injections_total).
-//   - window == 0, no lookahead: free-running rounds (run to quiescence) —
-//     the right mode for fully independent timelines, where rounds only
-//     delimit driver turns.
-//   - lookahead registered (SetLookahead, usually via netem.WireCross):
-//     Chandy–Misra-style per-shard-pair boundaries. Shard i may run
-//     strictly below min over upstreams j of (next_j + L(j,i)), where
-//     next_j is j's next event time and L the min-plus closure of declared
-//     lookaheads. Cross-shard deliveries then arrive in the receiver's
-//     future by construction — no clamping — and a quiescent upstream
-//     imposes no bound at all, so windows widen adaptively when no cross
-//     traffic is pending (counted in pos_sim_shard_adaptive_rounds_total).
+// The timelines never exchange events, so no synchronization window is
+// needed: each round every shard free-runs to quiescence, calling its driver
+// whenever the engine goes idle. Rounds only delimit driver turns; a shard
+// whose driver expects more work but has none yet is asked again next round.
+// What each shard executes depends on its own engine and driver alone, so
+// results are independent of GOMAXPROCS and thread scheduling.
 type ShardGroup struct {
-	window Duration
 	shards []*Shard
-	pool   *workpool.Pool
-
-	// lookahead holds declared per-pair lookaheads; la is its min-plus
-	// transitive closure, built at Run (shard k constrains shard i through
-	// any chain of cut links).
-	lookahead map[[2]int]Duration
-	la        [][]Duration
 
 	running atomic.Bool
-
-	windows  atomic.Uint64
-	stalls   atomic.Uint64
-	late     atomic.Uint64
-	crossInj atomic.Uint64
-	adaptive atomic.Uint64
+	windows atomic.Uint64
+	stalls  atomic.Uint64
 }
 
 // Driver is a shard's idle callback: invoked whenever its engine goes
@@ -71,359 +37,49 @@ type Driver func(s *Shard, now Time) bool
 // Shard is one engine registered with a group.
 type Shard struct {
 	engine *Engine
-	group  *ShardGroup
 	idx    int
 	driver Driver
 	done   bool
 	err    error
 
-	// Round state, written single-threaded between rounds and read by the
-	// goroutine that runs the shard's phase (the ready channel orders the
-	// two).
-	deadline Time
-	base     Time
-	stepsAt  uint64
-	flushers []func()
-
-	mu      sync.Mutex
-	mailbox []injection
-	spare   []injection // drained buffer recycled to keep steady state allocation-free
-	seqs    []uint64    // per-source sequence counters, indexed by src+1
+	// stepsAt is the engine's step count at the start of the current
+	// round, written single-threaded between rounds.
+	stepsAt uint64
 }
 
-// injection is buffered cross-shard work; src/seq give drains a total order
-// that does not depend on goroutine interleaving.
-type injection struct {
-	at   Time
-	h    Handler
-	argh ArgHandler
-	arg  any
-	src  int
-	seq  uint64
+// NewShardGroup returns an empty group.
+func NewShardGroup() *ShardGroup {
+	return &ShardGroup{}
 }
-
-// PendingCall is one element of a batched cross-shard injection: a
-// closure-free handler plus its (typically pooled) argument, timestamped in
-// the receiver's future. Cross-shard couplers accumulate these per round and
-// flush them with InjectCallsFrom, so a packet train crosses shards as one
-// mailbox append, not one per packet.
-type PendingCall struct {
-	At  Time
-	H   ArgHandler
-	Arg any
-}
-
-// NewShardGroup returns an empty group with the given synchronization
-// window. window <= 0 selects free-running rounds (run to quiescence)
-// unless lookaheads are registered, which switch the group to per-pair
-// boundaries.
-func NewShardGroup(window Duration) *ShardGroup {
-	return &ShardGroup{window: window}
-}
-
-// SetPool directs the group's rounds at a specific workpool instead of the
-// process-wide default. Call before Run.
-func (g *ShardGroup) SetPool(p *workpool.Pool) { g.pool = p }
 
 // AddEngine registers an engine with an optional idle driver and returns its
 // shard handle. All engines must be added before Run.
 func (g *ShardGroup) AddEngine(e *Engine, driver Driver) *Shard {
-	s := &Shard{engine: e, group: g, idx: len(g.shards), driver: driver}
+	s := &Shard{engine: e, idx: len(g.shards), driver: driver}
 	g.shards = append(g.shards, s)
 	return s
-}
-
-// SetLookahead declares that src cannot cause an event on dst earlier than d
-// after src's own progress point — the minimum latency of a cut link from
-// src to dst (Chandy–Misra lookahead). Multiple declarations for a pair keep
-// the minimum. Registering any lookahead switches the group from fixed
-// windows to per-pair boundaries; call before Run.
-func (g *ShardGroup) SetLookahead(src, dst *Shard, d Duration) {
-	if d <= 0 {
-		panic("sim: non-positive lookahead")
-	}
-	if src == dst {
-		panic("sim: lookahead from a shard to itself")
-	}
-	if g.lookahead == nil {
-		g.lookahead = map[[2]int]Duration{}
-	}
-	key := [2]int{src.idx, dst.idx}
-	if cur, ok := g.lookahead[key]; !ok || d < cur {
-		g.lookahead[key] = d
-	}
-	g.la = nil // force a rebuild on next Run
-}
-
-// infDur marks "no constraint" in the lookahead matrix.
-const infDur = Duration(math.MaxInt64)
-
-// buildLookahead computes the min-plus transitive closure of the declared
-// lookaheads: shard k constrains shard i through any chain of cut links, so
-// the effective lookahead is the cheapest chain.
-func (g *ShardGroup) buildLookahead() {
-	if len(g.lookahead) == 0 || g.la != nil {
-		return
-	}
-	n := len(g.shards)
-	la := make([][]Duration, n)
-	for i := range la {
-		la[i] = make([]Duration, n)
-		for j := range la[i] {
-			if i != j {
-				la[i][j] = infDur
-			}
-		}
-	}
-	for k, d := range g.lookahead {
-		if d < la[k[0]][k[1]] {
-			la[k[0]][k[1]] = d
-		}
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			if la[i][k] == infDur {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if la[k][j] == infDur {
-					continue
-				}
-				if sum := la[i][k] + la[k][j]; sum < la[i][j] {
-					la[i][j] = sum
-				}
-			}
-		}
-	}
-	g.la = la
-	min := infDur
-	for i := range la {
-		for j := range la[i] {
-			if i != j && la[i][j] < min {
-				min = la[i][j]
-			}
-		}
-	}
-	if min < infDur {
-		shardLookaheadMin.Set(float64(min))
-	}
-}
-
-// EffectiveLookahead reports the min-plus-closed lookahead from src to dst,
-// or false when src cannot influence dst through any chain of cut links.
-func (g *ShardGroup) EffectiveLookahead(src, dst *Shard) (Duration, bool) {
-	g.buildLookahead()
-	if g.la == nil {
-		return 0, false
-	}
-	d := g.la[src.idx][dst.idx]
-	if d == infDur {
-		return 0, false
-	}
-	return d, true
 }
 
 // Engine returns the shard's engine. Outside Run it may be used freely; while
 // the group runs it is owned by whichever worker executes the shard's round.
 func (s *Shard) Engine() *Engine { return s.engine }
 
-// Index returns the shard's position in the group.
-func (s *Shard) Index() int { return s.idx }
-
-// Group returns the group the shard belongs to.
-func (s *Shard) Group() *ShardGroup { return s.group }
-
 // Err returns the shard's terminal error, if any, after Run completes.
 func (s *Shard) Err() error { return s.err }
-
-// OnFlush registers f to run at the end of each of the shard's rounds, after
-// its engine pauses at the boundary and before mailboxes drain. Cross-shard
-// couplers (netem.WireCross) use it to flush a whole round's buffered
-// deliveries as one batched injection.
-func (s *Shard) OnFlush(f func()) { s.flushers = append(s.flushers, f) }
 
 // Windows reports how many shard-rounds the group has executed.
 func (g *ShardGroup) Windows() uint64 { return g.windows.Load() }
 
-// Stalls reports how many of those rounds executed zero events while the
-// group as a whole kept running — shards waiting on others' lookahead.
+// Stalls reports how many of those rounds executed zero events on a shard
+// that was not done while the group kept running — a driver waiting for
+// work.
 func (g *ShardGroup) Stalls() uint64 { return g.stalls.Load() }
 
-// LateInjections reports how many injections arrived with a timestamp
-// already in their target shard's past and were clamped to its current
-// time. Under lookahead boundaries this stays zero by construction; a
-// non-zero count means an injector violated its declared lookahead.
-func (g *ShardGroup) LateInjections() uint64 { return g.late.Load() }
-
-// CrossInjections reports how many shard-to-shard injections (InjectFrom and
-// the elements of InjectCallsFrom batches) the group has carried.
-func (g *ShardGroup) CrossInjections() uint64 { return g.crossInj.Load() }
-
-// AdaptiveRounds reports rounds in which at least one shard ran with no
-// upstream bound at all — quiescent senders letting its window widen to
-// run-to-quiescence.
-func (g *ShardGroup) AdaptiveRounds() uint64 { return g.adaptive.Load() }
-
-// Inject buffers h to run at time t on the shard, from outside the group
-// (management plane, tests). For deterministic replay use a single external
-// injector per shard or distinct timestamps.
-func (s *Shard) Inject(t Time, h Handler) { s.injectOne(injection{at: t, h: h}, -1) }
-
-// InjectFrom buffers h to run at time t on the shard, on behalf of src.
-// Injections from a given source are totally ordered; the boundary contract
-// above governs t.
-func (s *Shard) InjectFrom(src *Shard, t Time, h Handler) {
-	s.injectOne(injection{at: t, h: h}, src.idx)
-	s.group.crossInj.Add(1)
-	shardCrossInjections.Inc()
-}
-
-// InjectCallsFrom buffers a whole batch of closure-free calls from src under
-// one mailbox lock — the pooled, batched fast path for cross-shard traffic.
-// The calls slice is copied; the caller may reuse it immediately.
-func (s *Shard) InjectCallsFrom(src *Shard, calls []PendingCall) {
-	if len(calls) == 0 {
-		return
-	}
-	s.mu.Lock()
-	seq := s.seqSlot(src.idx)
-	for _, c := range calls {
-		if c.H == nil {
-			s.mu.Unlock()
-			panic("sim: nil injection handler")
-		}
-		s.mailbox = append(s.mailbox, injection{at: c.At, argh: c.H, arg: c.Arg, src: src.idx, seq: *seq})
-		*seq++
-	}
-	s.mu.Unlock()
-	s.group.crossInj.Add(uint64(len(calls)))
-	shardCrossInjections.Add(float64(len(calls)))
-}
-
-func (s *Shard) injectOne(in injection, src int) {
-	if in.h == nil && in.argh == nil {
-		panic("sim: nil injection handler")
-	}
-	in.src = src
-	s.mu.Lock()
-	seq := s.seqSlot(src)
-	in.seq = *seq
-	*seq++
-	s.mailbox = append(s.mailbox, in)
-	s.mu.Unlock()
-}
-
-// seqSlot returns the per-source sequence counter for src (external
-// injectors use -1), growing the slice on first use. Caller holds s.mu.
-func (s *Shard) seqSlot(src int) *uint64 {
-	i := src + 1
-	if len(s.seqs) <= i {
-		grown := make([]uint64, i+1)
-		copy(grown, s.seqs)
-		s.seqs = grown
-	}
-	return &s.seqs[i]
-}
-
-// drain moves buffered injections into the engine in deterministic
-// (time, source, sequence) order. It runs between rounds, when no shard is
-// executing, so the engine is not concurrently stepping.
-func (s *Shard) drain() {
-	s.mu.Lock()
-	pending := s.mailbox
-	s.mailbox = s.spare[:0]
-	s.mu.Unlock()
-	if len(pending) == 0 {
-		s.spare = pending
-		return
-	}
-	sortInjections(pending)
-	for i := range pending {
-		in := &pending[i]
-		at := in.at
-		if at < s.engine.Now() {
-			at = s.engine.Now()
-			s.group.late.Add(1)
-			shardLateInjections.Inc()
-		}
-		if in.argh != nil {
-			s.engine.AtArg(at, in.argh, in.arg)
-		} else {
-			s.engine.At(at, in.h)
-		}
-		*in = injection{} // release handler/arg references before the buffer recycles
-	}
-	s.spare = pending[:0]
-}
-
-// before reports the deterministic (time, source, sequence) drain order.
-func (a *injection) before(b *injection) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
-}
-
-// injOrder adapts []injection to sort.Interface for large mailboxes.
-type injOrder []injection
-
-func (p injOrder) Len() int           { return len(p) }
-func (p injOrder) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p injOrder) Less(i, j int) bool { return p[i].before(&p[j]) }
-
-// sortInjections orders a drained mailbox. Steady-state mailboxes hold a
-// handful of batched trains per round, where insertion sort beats the
-// reflection and allocation cost of sort.Slice; bulk backlogs fall back to
-// the standard sort.
-func sortInjections(pending []injection) {
-	if len(pending) > 32 {
-		sort.Sort(injOrder(pending))
-		return
-	}
-	for i := 1; i < len(pending); i++ {
-		for j := i; j > 0 && pending[j].before(&pending[j-1]); j-- {
-			pending[j], pending[j-1] = pending[j-1], pending[j]
-		}
-	}
-}
-
-func (s *Shard) pendingInjections() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.mailbox) > 0
-}
-
-// AlignClocks advances every shard's engine to the group-wide maximum clock
-// and returns it. After a partitioned data-plane run the shard clocks differ
-// (each stops at its own last event); aligning restores the invariant
-// sequential composition relies on — the next phase starts at the same
-// instant on every timeline, which is exactly where a single-engine run
-// would have left its one clock, because the union of event and witness
-// times is the same either way.
-func (g *ShardGroup) AlignClocks() Time {
-	var max Time
-	for _, s := range g.shards {
-		if now := s.engine.Now(); now > max {
-			max = now
-		}
-	}
-	for _, s := range g.shards {
-		if s.engine.Now() < max {
-			// Engines are quiescent after Run; RunUntil only pads the clock.
-			_ = s.engine.RunUntil(max)
-		}
-	}
-	return max
-}
-
-// Run executes all shards to completion: every engine quiescent, every
-// driver exhausted, every mailbox empty. Rounds are executed by workpool
-// workers with the calling goroutine participating, so progress never
-// depends on pool capacity. It returns the join of shard errors. Run may be
-// called again after it returns (e.g. one call per measurement run).
+// Run executes all shards to completion: every engine quiescent and every
+// driver exhausted. Rounds are executed by workpool workers with the calling
+// goroutine participating, so progress never depends on pool capacity. It
+// returns the join of shard errors. Run may be called again after it
+// returns (e.g. one call per measurement run).
 func (g *ShardGroup) Run() error {
 	if len(g.shards) == 0 {
 		return nil
@@ -434,23 +90,16 @@ func (g *ShardGroup) Run() error {
 	defer g.running.Store(false)
 	shardGroupsActive.Inc()
 	defer shardGroupsActive.Dec()
-	g.buildLookahead()
 	for _, s := range g.shards {
 		s.done, s.err = false, nil
-		s.base = s.engine.Now()
 	}
 	r := &groupRun{
 		g:     g,
-		pool:  g.pool,
 		ready: make(chan *Shard, len(g.shards)),
 		done:  make(chan struct{}),
 	}
-	if r.pool == nil {
-		r.pool = workpool.Default()
-	}
 	// One method-value conversion for the whole run, not one per pool
-	// submission: rounds are frequent (one per lookahead window) and the
-	// hot path should not allocate per round.
+	// submission.
 	r.turn = r.poolTurn
 	// The caller always covers one turn per round and drains the rest from
 	// the ready channel, so pool helpers are an optimization, never a
@@ -461,14 +110,10 @@ func (g *ShardGroup) Run() error {
 	if n := len(g.shards) - 1; n < r.maxHelpers {
 		r.maxHelpers = n
 	}
-	if g.la != nil {
-		r.next = make([]Time, len(g.shards))
-	}
 	if r.maxHelpers == 0 {
 		// Serial fast path: with no helpers to coordinate, the ready
 		// channel and the remaining counter are pure overhead — drive the
-		// rounds inline on the caller. Rounds are frequent (one per
-		// lookahead window), so this is worth a branch.
+		// rounds inline on the caller.
 		for {
 			r.prepareRound()
 			for _, s := range g.shards {
@@ -506,32 +151,17 @@ func (r *groupRun) join() error {
 // empty ready channel and return.
 type groupRun struct {
 	g          *ShardGroup
-	pool       *workpool.Pool
 	ready      chan *Shard
 	done       chan struct{}
 	remaining  atomic.Int32
-	round      int
-	next       []Time // per-shard next-event scratch, lookahead mode only
 	turn       func() // poolTurn as a pre-bound task, allocated once per Run
 	maxHelpers int    // pool turns worth recruiting beyond the caller
 }
 
-// prepareRound computes the round's boundaries and step watermarks. It runs
+// prepareRound records each shard's step watermark. It runs
 // single-threaded, before any shard of the round executes.
 func (r *groupRun) prepareRound() {
-	g := r.g
-	if r.next != nil {
-		r.lookaheadDeadlines()
-	} else {
-		for _, s := range g.shards {
-			if g.window > 0 {
-				s.deadline = s.base.Add(Duration(r.round+1) * g.window)
-			} else {
-				s.deadline = MaxTime
-			}
-		}
-	}
-	for _, s := range g.shards {
+	for _, s := range r.g.shards {
 		s.stepsAt = s.engine.Steps()
 	}
 }
@@ -547,64 +177,13 @@ func (r *groupRun) launch() {
 		r.ready <- s
 	}
 	if helpers := r.maxHelpers; helpers > 0 {
-		if idle := r.pool.Idle(); idle < helpers {
+		pool := workpool.Default()
+		if idle := pool.Idle(); idle < helpers {
 			helpers = idle
 		}
 		for i := 0; i < helpers; i++ {
-			r.pool.Go(r.turn)
+			pool.Go(r.turn)
 		}
-	}
-}
-
-// lookaheadDeadlines derives each shard's boundary from its upstreams:
-// shard i may run events strictly before min_j(next_j + L(j,i)). A live
-// driver can create work at its shard's current clock, so such shards
-// publish min(next event, now); done shards publish their next event alone —
-// and a quiescent upstream (MaxTime) imposes no bound, which is the adaptive
-// widening: with no cross traffic pending anywhere, boundaries disappear and
-// shards run to quiescence in one round.
-func (r *groupRun) lookaheadDeadlines() {
-	g := r.g
-	for j, s := range g.shards {
-		next := s.engine.NextEventTime()
-		if !s.done {
-			if now := s.engine.Now(); now < next {
-				next = now
-			}
-		}
-		r.next[j] = next
-	}
-	adaptive := false
-	for i, s := range g.shards {
-		bound := MaxTime
-		for j := range g.shards {
-			d := g.la[j][i]
-			if i == j || d == infDur || r.next[j] == MaxTime {
-				continue
-			}
-			if r.next[j] > MaxTime.Add(-d) {
-				continue // bound would overflow: effectively unconstrained
-			}
-			if t := r.next[j].Add(d); t < bound {
-				bound = t
-			}
-		}
-		switch {
-		case bound == MaxTime:
-			adaptive = true
-			s.deadline = MaxTime
-		default:
-			// The boundary is exclusive: an event at the bound itself could
-			// depend on cross traffic arriving exactly then.
-			s.deadline = bound - 1
-			if now := s.engine.Now(); s.deadline < now {
-				s.deadline = now
-			}
-		}
-	}
-	if adaptive {
-		g.adaptive.Add(1)
-		shardAdaptiveRounds.Inc()
 	}
 }
 
@@ -626,11 +205,9 @@ func (r *groupRun) runShard(s *Shard) {
 	}
 }
 
-// closeRound runs single-threaded on the round's last finisher: every
-// injection produced during the round is buffered and no shard is
-// executing, so drains and votes need no further synchronization. The
-// atomic remaining counter orders all shard work before it; the ready
-// channel orders it before the next round's shard work.
+// closeRound runs single-threaded on the round's last finisher. The atomic
+// remaining counter orders all shard work before it; the ready channel
+// orders it before the next round's shard work.
 func (r *groupRun) closeRound() {
 	if r.advanceRound() {
 		close(r.done)
@@ -639,8 +216,8 @@ func (r *groupRun) closeRound() {
 	r.launch()
 }
 
-// advanceRound drains every mailbox, votes on termination, and steps the
-// round counter; it reports whether the group is finished.
+// advanceRound votes on termination and reports whether the group is
+// finished.
 func (r *groupRun) advanceRound() bool {
 	g := r.g
 	n := len(g.shards)
@@ -648,17 +225,12 @@ func (r *groupRun) advanceRound() bool {
 	shardWindows.Add(float64(n))
 	allDone, anyActive := true, false
 	for _, s := range g.shards {
-		s.drain()
-		// One mailbox-lock snapshot serves both votes: external injectors
-		// may race a new injection in right after the drain, and either
-		// verdict on it is sound — it will be seen at the next drain.
-		pending := s.pendingInjections()
-		done := s.err != nil || (s.done && s.engine.Len() == 0 && !pending)
+		done := s.err != nil || (s.done && s.engine.Len() == 0)
 		// A shard is active while it stepped this round or still holds
 		// work; the group terminates when every shard is done — or when no
 		// shard is active, i.e. nothing can ever happen again even though
 		// some drivers are still waiting.
-		active := s.engine.Steps() != s.stepsAt || s.engine.Len() > 0 || pending
+		active := s.engine.Steps() != s.stepsAt || s.engine.Len() > 0
 		allDone = allDone && done
 		anyActive = anyActive || active
 	}
@@ -671,12 +243,11 @@ func (r *groupRun) advanceRound() bool {
 			shardStallWindows.Inc()
 		}
 	}
-	r.round++
 	return false
 }
 
-// runRound is one shard's slice of a round: advance to the boundary, then
-// flush cross-shard couplers. Panics become shard errors.
+// runRound is one shard's slice of a round: run to quiescence, invoking the
+// driver whenever the engine goes idle. Panics become shard errors.
 func (s *Shard) runRound() {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -684,43 +255,19 @@ func (s *Shard) runRound() {
 			s.done = true
 		}
 	}()
-	if s.err != nil {
-		return
-	}
-	s.runPhase(s.deadline)
-	if s.err != nil {
-		return
-	}
-	for _, f := range s.flushers {
-		f()
-	}
-}
-
-// runPhase advances the engine to the round boundary, invoking the driver
-// whenever the shard goes idle with the boundary unreached.
-func (s *Shard) runPhase(boundary Time) {
-	for {
-		idle, err := s.engine.RunWindow(boundary)
-		if err != nil {
+	for s.err == nil && !s.done {
+		if err := s.engine.Run(); err != nil {
 			s.err = err
 			s.done = true
 			return
 		}
-		if !idle || s.done {
-			return
-		}
-		if s.driver == nil {
-			s.done = true
-			return
-		}
-		if !s.driver(s, s.engine.Now()) {
+		if s.driver == nil || !s.driver(s, s.engine.Now()) {
 			s.done = true
 			return
 		}
 		if s.engine.Len() == 0 {
-			// The driver expects more work but has nothing to run yet
-			// (waiting on a cross-shard injection); yield the round
-			// instead of spinning on an empty engine.
+			// The driver expects more work but has nothing to run yet;
+			// yield the round instead of spinning on an empty engine.
 			return
 		}
 	}

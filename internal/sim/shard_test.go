@@ -3,8 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -25,25 +23,23 @@ func TestShardGroupMatchesSequentialRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, window := range []Duration{0, 25, 1000} {
-		g := NewShardGroup(window)
-		logs := make([][]Time, 4)
-		for i := range logs {
-			e := NewEngine()
-			run(e, &logs[i])
-			g.AddEngine(e, nil)
+	g := NewShardGroup()
+	logs := make([][]Time, 4)
+	for i := range logs {
+		e := NewEngine()
+		run(e, &logs[i])
+		g.AddEngine(e, nil)
+	}
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, log := range logs {
+		if len(log) != len(want) {
+			t.Fatalf("shard %d: %d events, want %d", i, len(log), len(want))
 		}
-		if err := g.Run(); err != nil {
-			t.Fatalf("window %v: %v", window, err)
-		}
-		for i, log := range logs {
-			if len(log) != len(want) {
-				t.Fatalf("window %v shard %d: %d events, want %d", window, i, len(log), len(want))
-			}
-			for j := range want {
-				if log[j] != want[j] {
-					t.Fatalf("window %v shard %d event %d at %v, want %v", window, i, j, log[j], want[j])
-				}
+		for j := range want {
+			if log[j] != want[j] {
+				t.Fatalf("shard %d event %d at %v, want %v", i, j, log[j], want[j])
 			}
 		}
 	}
@@ -53,7 +49,7 @@ func TestShardGroupMatchesSequentialRun(t *testing.T) {
 // shard can run a whole sweep of back-to-back measurement runs.
 func TestShardDriverChainsWork(t *testing.T) {
 	e := NewEngine()
-	g := NewShardGroup(0)
+	g := NewShardGroup()
 	phases := 0
 	var ends []Time
 	g.AddEngine(e, func(s *Shard, now Time) bool {
@@ -76,50 +72,10 @@ func TestShardDriverChainsWork(t *testing.T) {
 	}
 }
 
-// Cross-shard injections respecting the lookahead contract land in a
-// deterministic window: repeated runs see identical event times on the
-// receiving shard.
-func TestShardInjectionDeterministic(t *testing.T) {
-	const window = Duration(100)
-	trial := func() []Time {
-		g := NewShardGroup(window)
-		a := NewShardGroup(window) // separate group per trial is overkill; keep g
-		_ = a
-		producer := g.AddEngine(NewEngine(), nil)
-		var got []Time
-		consumerEngine := NewEngine()
-		consumer := g.AddEngine(consumerEngine, nil)
-		// The producer emits one injection per tick, two windows ahead.
-		producer.Engine().Ticks(0, 50, 10, func(now Time) {
-			at := now.Add(2 * window)
-			consumer.InjectFrom(producer, at, func(t Time) { got = append(got, t) })
-		})
-		if err := g.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	want := trial()
-	if len(want) != 10 {
-		t.Fatalf("consumer saw %d injections, want 10", len(want))
-	}
-	for i := 0; i < 20; i++ {
-		got := trial()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d injections, want %d", i, len(got), len(want))
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("trial %d: injection %d at %v, want %v", i, j, got[j], want[j])
-			}
-		}
-	}
-}
-
 // A shard that errors must not deadlock the barrier; the group drains and
 // reports the failure.
 func TestShardErrorPropagates(t *testing.T) {
-	g := NewShardGroup(0)
+	g := NewShardGroup()
 	bad := NewEngine()
 	bad.At(5, func(Time) { panic("boom") })
 	g.AddEngine(bad, nil)
@@ -140,7 +96,7 @@ func TestShardErrorPropagates(t *testing.T) {
 }
 
 func TestShardStopError(t *testing.T) {
-	g := NewShardGroup(0)
+	g := NewShardGroup()
 	e := NewEngine()
 	e.At(1, func(Time) { e.Stop() })
 	g.AddEngine(e, nil)
@@ -150,10 +106,10 @@ func TestShardStopError(t *testing.T) {
 	}
 }
 
-// Stall accounting: with one long and one short timeline under a small
-// window, the short shard spends rounds idle while the long one works.
+// Stall accounting: a shard that is done is never stalled, however long
+// another shard keeps the group running.
 func TestShardStallAccounting(t *testing.T) {
-	g := NewShardGroup(10)
+	g := NewShardGroup()
 	long := NewEngine()
 	long.Ticks(0, 10, 50, func(Time) {})
 	g.AddEngine(long, nil)
@@ -166,256 +122,49 @@ func TestShardStallAccounting(t *testing.T) {
 	if g.Windows() == 0 {
 		t.Fatal("no windows recorded")
 	}
-	// The short shard goes done after round 0; done shards do not count
-	// as stalled, and the group terminates once the long shard drains.
 	if g.Stalls() != 0 {
 		t.Fatalf("stalls = %d, want 0 (done shards are not stalled)", g.Stalls())
 	}
 }
 
-// A shard waiting on future injections stalls (zero events in a window)
-// without being done; those rounds are counted.
-func TestShardStallWhileWaitingForInjection(t *testing.T) {
-	g := NewShardGroup(10)
-	producer := g.AddEngine(NewEngine(), nil)
-	consumerEngine := NewEngine()
-	received := false
-	// The consumer has a driver so it stays alive (not done) while empty.
-	injected := atomic.Bool{}
-	g.AddEngine(consumerEngine, func(s *Shard, now Time) bool {
-		return !injected.Load() || consumerEngine.Len() > 0
-	})
-	consumer := g.shards[1]
-	producer.Engine().Ticks(0, 10, 8, func(now Time) {})
-	producer.Engine().At(70, func(now Time) {
-		consumer.InjectFrom(producer, now.Add(30), func(Time) { received = true })
-		injected.Store(true)
-	})
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !received {
-		t.Fatal("injection never delivered")
-	}
-	if g.Stalls() == 0 {
-		t.Fatal("expected stalled windows on the waiting consumer")
-	}
-}
-
-// Late injections (violating the lookahead contract) are clamped, not
-// dropped and not a panic.
-func TestShardLateInjectionClamped(t *testing.T) {
-	g := NewShardGroup(5)
-	fast := g.AddEngine(NewEngine(), nil)
-	fast.Engine().Ticks(0, 5, 40, func(Time) {})
-	slowEngine := NewEngine()
-	slow := g.AddEngine(slowEngine, nil)
-	var at Time = -1
-	// Inject at time 0 from a tick at time 100: hopelessly late.
-	fast.Engine().At(100, func(now Time) {
-		slow.InjectFrom(fast, 0, func(t Time) { at = t })
-	})
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at < 0 {
-		t.Fatal("late injection never ran")
-	}
-}
-
-// Regression: cross-shard drains are ordered by (time, source shard,
-// per-source sequence), so the consumer executes an identical schedule no
-// matter how the producers' rounds interleave on workers.
-func TestShardDrainOrderDeterministic(t *testing.T) {
-	trial := func() []string {
-		g := NewShardGroup(100)
-		p0 := g.AddEngine(NewEngine(), nil)
-		p1 := g.AddEngine(NewEngine(), nil)
-		consumer := g.AddEngine(NewEngine(), nil)
-		var order []string
-		emit := func(name string) Handler {
-			return func(Time) { order = append(order, name) }
-		}
-		// Both producers inject at overlapping timestamps from the same
-		// round; time is the primary key, then source shard, then the
-		// per-source sequence (the order each producer issued its calls).
-		p0.Engine().At(10, func(Time) {
-			consumer.InjectFrom(p0, 1000, emit("p0-a"))
-			consumer.InjectFrom(p0, 900, emit("p0-b"))
-			consumer.InjectFrom(p0, 900, emit("p0-c"))
-		})
-		p1.Engine().At(10, func(Time) {
-			consumer.InjectFrom(p1, 900, emit("p1-a"))
-			consumer.InjectFrom(p1, 1000, emit("p1-b"))
-		})
-		if err := g.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return order
-	}
-	want := []string{"p0-b", "p0-c", "p1-a", "p0-a", "p1-b"}
-	for i := 0; i < 30; i++ {
-		got := trial()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: order %v, want %v", i, got, want)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("trial %d: order %v, want %v", i, got, want)
-			}
-		}
-	}
-}
-
-// The clamp boundary sits exactly at the receiver's clock: an injection
-// timestamped at Now() is on time, one tick earlier is late — clamped and
-// counted in pos_sim_shard_late_injections_total.
-func TestShardLateClampBoundary(t *testing.T) {
-	g := NewShardGroup(10)
-	src := g.AddEngine(NewEngine(), nil)
+// A driver that expects more work but has none yet yields its round and is
+// asked again in the next one while any shard is still active; once nothing
+// is active, the group terminates even though the driver still waits.
+func TestShardWaitingDriverAskedNextRound(t *testing.T) {
+	g := NewShardGroup()
+	busy := NewEngine()
+	busy.Ticks(0, 10, 5, func(Time) {})
+	g.AddEngine(busy, nil)
 	e := NewEngine()
-	sh := g.AddEngine(e, nil)
-	e.At(50, func(Time) {})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var ran []Time
-	sh.InjectFrom(src, 50, func(now Time) { ran = append(ran, now) }) // exactly the edge
-	sh.InjectFrom(src, 49, func(now Time) { ran = append(ran, now) }) // one tick past it
-	sh.drain()
-	if g.LateInjections() != 1 {
-		t.Fatalf("late = %d, want exactly 1 (only the t-1 injection is late)", g.LateInjections())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(ran) != 2 || ran[0] != 50 || ran[1] != 50 {
-		t.Fatalf("ran = %v, want both clamped-or-on-time at 50", ran)
-	}
-}
-
-// Lookahead composes transitively: the effective bound from a to c through b
-// is the min-plus closure of the declared pair lookaheads.
-func TestEffectiveLookaheadClosure(t *testing.T) {
-	g := NewShardGroup(0)
-	a := g.AddEngine(NewEngine(), nil)
-	b := g.AddEngine(NewEngine(), nil)
-	c := g.AddEngine(NewEngine(), nil)
-	g.SetLookahead(a, b, 10)
-	g.SetLookahead(b, c, 15)
-	g.SetLookahead(a, b, 30) // keeps the earlier minimum
-	if d, ok := g.EffectiveLookahead(a, b); !ok || d != 10 {
-		t.Fatalf("a->b = %v,%v want 10,true", d, ok)
-	}
-	if d, ok := g.EffectiveLookahead(a, c); !ok || d != 25 {
-		t.Fatalf("a->c = %v,%v want 25,true (chained through b)", d, ok)
-	}
-	if _, ok := g.EffectiveLookahead(c, a); ok {
-		t.Fatal("c->a should be unconstrained")
-	}
-}
-
-// Under lookahead boundaries cross-shard deliveries land in the receiver's
-// future by construction — zero late injections — and once the sender goes
-// quiescent the receiver's window widens adaptively.
-func TestShardLookaheadRunDeliversOnTime(t *testing.T) {
-	const la = Duration(20)
-	g := NewShardGroup(0)
-	sender := g.AddEngine(NewEngine(), nil)
-	receiver := g.AddEngine(NewEngine(), nil)
-	g.SetLookahead(sender, receiver, la)
-	var got []Time
-	var batch []PendingCall
-	sender.Engine().Ticks(0, 5, 21, func(now Time) {
-		batch = append(batch, PendingCall{At: now.Add(la), H: func(at Time, _ any) {
-			got = append(got, at)
-		}})
-	})
-	sender.OnFlush(func() {
-		receiver.InjectCallsFrom(sender, batch)
-		batch = batch[:0]
+	calls := 0
+	g.AddEngine(e, func(s *Shard, now Time) bool {
+		calls++
+		if calls == 2 {
+			e.At(now.Add(7), func(Time) {})
+		}
+		return true // always waiting for more
 	})
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 21 {
-		t.Fatalf("received %d deliveries, want 21", len(got))
+	// Round 0: the busy shard steps, the driver waits (call 1). Round 1:
+	// the driver schedules work (call 2), runs it and waits again (call 3);
+	// the busy shard is done. Round 2: the driver waits (call 4) and no
+	// shard stepped, so the group stops.
+	if calls != 4 {
+		t.Fatalf("driver called %d times, want 4", calls)
 	}
-	for i, at := range got {
-		if want := Time(i*5) + Time(la); at != want {
-			t.Fatalf("delivery %d at %v, want %v", i, at, want)
-		}
+	if e.Now() != 7 {
+		t.Fatalf("clock at %v, want 7", e.Now())
 	}
-	if g.LateInjections() != 0 {
-		t.Fatalf("late = %d, want 0 under lookahead boundaries", g.LateInjections())
-	}
-	if g.AdaptiveRounds() == 0 {
-		t.Fatal("expected adaptive widening once the sender went quiescent")
-	}
-	if g.CrossInjections() != 21 {
-		t.Fatalf("cross injections = %d, want 21", g.CrossInjections())
-	}
-}
-
-// Hammer for the cross-shard mailboxes under -race: external goroutines and
-// sibling shards inject concurrently with running rounds; every injection
-// must be delivered exactly once.
-func TestShardMailboxHammer(t *testing.T) {
-	const (
-		injectors    = 4
-		perInjector  = 300
-		batchTicks   = 21
-		batchPerTick = 3
-	)
-	g := NewShardGroup(0)
-	e := NewEngine()
-	var stop atomic.Bool
-	var delivered atomic.Int64
-	sh := g.AddEngine(e, func(s *Shard, now Time) bool {
-		// Once the hammer stops, end the driver's work; drained stragglers
-		// still execute on a done shard until the mailbox empties.
-		if stop.Load() {
-			return false
-		}
-		e.At(now.Add(10), func(Time) {}) // keep the shard active while the hammer runs
-		return true
-	})
-	producer := g.AddEngine(NewEngine(), nil)
-	var batch []PendingCall
-	producer.Engine().Ticks(0, 5, batchTicks, func(now Time) {
-		for k := 0; k < batchPerTick; k++ {
-			batch = append(batch, PendingCall{At: now.Add(1000), H: func(Time, any) { delivered.Add(1) }})
-		}
-	})
-	producer.OnFlush(func() {
-		sh.InjectCallsFrom(producer, batch)
-		batch = batch[:0]
-	})
-	var wg sync.WaitGroup
-	for w := 0; w < injectors; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perInjector; i++ {
-				sh.Inject(Time(i), func(Time) { delivered.Add(1) })
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		stop.Store(true)
-	}()
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := int64(injectors*perInjector + batchTicks*batchPerTick)
-	if delivered.Load() != want {
-		t.Fatalf("delivered %d injections, want %d", delivered.Load(), want)
+	// Only round 0 stalls: the driver waited while the busy shard worked.
+	if g.Stalls() != 1 {
+		t.Fatalf("stalls = %d, want 1", g.Stalls())
 	}
 }
 
 func ExampleShardGroup() {
-	g := NewShardGroup(0)
+	g := NewShardGroup()
 	for i := 0; i < 2; i++ {
 		e := NewEngine()
 		runs := 0

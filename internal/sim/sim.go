@@ -171,21 +171,6 @@ func (e *Engine) Len() int {
 // Steps reports the total number of events executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// NextEventTime reports the timestamp of the earliest pending work — heap
-// event or ticker lane — or MaxTime when the engine is quiescent. Shard
-// synchronizers use it to derive lookahead-based window boundaries: a shard
-// cannot influence a neighbour before its own next event.
-func (e *Engine) NextEventTime() Time {
-	next := MaxTime
-	if len(e.queue) > 0 {
-		next = e.queue[0].at
-	}
-	if tk := e.nextTicker(); tk != nil && tk.next < next {
-		next = tk.next
-	}
-	return next
-}
-
 // SetBatching toggles cut-through mode. Data-plane components consult
 // Batching to decide between scheduling heap events (scalar oracle) and
 // synchronous delivery with logical timestamps. Flip it only while the
@@ -311,8 +296,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 // the engine went idle before reaching it. Unlike RunUntil it does not pad
 // the clock to the deadline on idleness: the clock stops at the last event
 // (or the cut-through watermark), exactly where a free-running Run would
-// leave it. Shard synchronizers use this so an idle shard observes the same
-// quiescence time as a sequential run.
+// leave it.
 func (e *Engine) RunWindow(deadline Time) (idle bool, err error) {
 	return e.run(deadline, false)
 }

@@ -1,9 +1,9 @@
 // Package workpool provides the bounded work-stealing worker pool shared by
-// the simulation data plane and the campaign control plane. Data-plane shard
-// rounds (sim.ShardGroup, and through it casestudy.ShardedSweep) and the
-// campaign dispatcher's CPU-bound run execution (internal/sched) all draw
-// from one process-wide pool sized to GOMAXPROCS, so the two planes stop
-// oversubscribing cores when a campaign and a sharded data plane run side by
+// the simulation data plane and the campaign control plane. The rounds of a
+// replica-sharded sweep (sim.ShardGroup, driven by casestudy.ShardedSweep)
+// and the campaign dispatcher's CPU-bound run execution (internal/sched) all
+// draw from one process-wide pool sized to GOMAXPROCS, so the two planes
+// stop oversubscribing cores when a campaign and a sharded sweep run side by
 // side.
 //
 // The pool is deliberately deadlock-free by construction: Go never blocks
